@@ -14,15 +14,18 @@
 //! * **block-spmv** — [`CsrMatrix::matvec_block`] (one row traversal
 //!   updates the whole block) vs `b` independent matvecs (the pre-block
 //!   subspace-iteration inner loop);
-//! * **knn** — KNN graph construction (pooled `par_map` row scan).
+//! * **knn** — KNN graph construction (the symmetric tiled kernel,
+//!   which scores each pair once).
 //!
 //! Every timed pair is also *verified*: pooled vs sequential and block
 //! vs column-wise must agree bit-for-bit, fused vs lazy within a 1e-10
-//! relative tolerance. Any divergence fails the run (nonzero exit) —
+//! relative tolerance, and the tiled KNN graph must equal the row-scan
+//! reference (`knn_graph_row_scan`) bit-for-bit at 1 and `threads`
+//! workers. Any divergence fails the run (nonzero exit) —
 //! this is the CI gate that keeps the fused kernels honest.
 
 use mvag_data::json::Value;
-use mvag_graph::knn::{knn_graph, KnnConfig};
+use mvag_graph::knn::{knn_graph, knn_graph_row_scan, KnnConfig};
 use mvag_sparse::parallel::scoped;
 use mvag_sparse::{CooMatrix, CsrMatrix, DenseMatrix, FusedSumOp, LinOp, ScaledSumOp};
 use std::time::Instant;
@@ -362,7 +365,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
         }
     }
 
-    // --- knn: pooled brute-force row scan ---
+    // --- knn: symmetric tiled kernel vs the row-scan reference ---
     for &n in &config.knn_sizes {
         let mut x = DenseMatrix::zeros(n, config.knn_dim);
         let mut state = config.seed | 1;
@@ -382,13 +385,23 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             std::hint::black_box(g.adjacency().nnz());
         });
         timings.push(KernelTiming {
-            kernel: "knn_pooled".into(),
+            kernel: "knn_tiled".into(),
             n,
             nnz: n * 10,
             reps,
             p50_us: p50,
             mean_us: mean,
         });
+        let reference = knn_graph_row_scan(&x, knn_cfg.k).expect("valid knn input");
+        for threads in [1, config.threads] {
+            let g = knn_graph(&x, &KnnConfig { threads, ..knn_cfg }).expect("valid knn input");
+            // Weights are positive and finite, so `==` is bit equality.
+            if g != reference {
+                divergences.push(format!(
+                    "n={n}: tiled knn graph ({threads} threads) not bit-identical to the row-scan reference"
+                ));
+            }
+        }
     }
 
     KernelBenchReport {
@@ -506,6 +519,7 @@ mod tests {
         assert!(report.p50("spmv_pooled", 300).is_some());
         assert!(report.p50("multiview_spmv_fused", 300).is_some());
         assert!(report.p50("block_spmv_fused", 300).is_some());
+        assert!(report.p50("knn_tiled", 80).is_some());
         let json = report.to_json(&config).to_string_pretty();
         assert!(json.contains("verified"));
         assert!(json.contains("speedups"));

@@ -13,7 +13,7 @@
 //! reported total runtime (as the paper does in Figs. 5–6).
 
 use crate::{Result, SglaError};
-use mvag_graph::knn::{knn_graph, KnnConfig};
+use mvag_graph::knn::{knn_graph, knn_graph_with_stats, KnnConfig};
 use mvag_graph::{Mvag, View};
 use mvag_sparse::linop::ScaledSumOp;
 use mvag_sparse::{CsrMatrix, FusedSumOp};
@@ -81,13 +81,14 @@ impl ViewLaplacians {
                 View::Attributes(x) => {
                     let k = knn.k_for(attr_idx).min(x.nrows().saturating_sub(1)).max(1);
                     span.counter("knn_k", k as u64);
-                    let g = knn_graph(
+                    let (g, stats) = knn_graph_with_stats(
                         x,
                         &KnnConfig {
                             k,
                             threads: knn.threads,
                         },
                     )?;
+                    span.counter("pairs_scored", stats.pairs_scored);
                     laplacians.push(g.normalized_laplacian());
                     is_graph.push(false);
                     attr_idx += 1;

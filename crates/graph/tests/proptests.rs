@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use mvag_graph::generators::{balanced_labels, sbm, SbmConfig};
-use mvag_graph::knn::{knn_graph, KnnConfig};
+use mvag_graph::knn::{knn_graph, knn_graph_row_scan, knn_graph_with_stats, KnnConfig};
 use mvag_graph::metrics::{
     connected_components, cut, normalized_cut, num_components, set_conductance, sweep_cut, volume,
 };
@@ -14,6 +14,69 @@ fn edges_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usi
     (3usize..max_n).prop_flat_map(|n| {
         proptest::collection::vec((0..n, 0..n), 1..4 * n).prop_map(move |edges| (n, edges))
     })
+}
+
+/// A node count that is often not a multiple of the 4-row micro-tile or
+/// the 64-row tile: small (2..=5, including n < 4), within one tile
+/// (5..65) or spanning two or three tiles (65..155).
+fn knn_n_strategy() -> impl Strategy<Value = usize> {
+    (0usize..4, 0usize..1000).prop_map(|(band, r)| match band {
+        0 => 2 + r % 4,
+        1 => 5 + r % 60,
+        _ => 65 + r % 90,
+    })
+}
+
+/// Attribute rows mixing what the tiled KNN kernel must get right: zero
+/// rows, exact duplicates of earlier rows and binary rows (both plant
+/// exactly tied similarities), and real rows with negative entries.
+fn knn_input(n: usize, d: usize, seed: u64) -> DenseMatrix {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let row = match next() % 8 {
+            0 => vec![0.0; d],
+            1 | 2 if i > 0 => rows[next() as usize % i].clone(),
+            3 | 4 => (0..d).map(|_| (next() % 2) as f64).collect(),
+            _ => (0..d)
+                .map(|_| (next() % 2001) as f64 / 1000.0 - 1.0)
+                .collect(),
+        };
+        rows.push(row);
+    }
+    DenseMatrix::from_rows(&rows).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn tiled_knn_equals_row_scan_oracle(
+        n in knn_n_strategy(),
+        d in 1usize..9,
+        seed in 0u64..1_000_000,
+        kk in 0usize..1000,
+        threads in 1usize..=4,
+    ) {
+        let x = knn_input(n, d, seed);
+        let k = 1 + kk % (n - 1);
+        let (g, stats) = knn_graph_with_stats(&x, &KnnConfig { k, threads }).unwrap();
+        let reference = knn_graph_row_scan(&x, k).unwrap();
+        let (a, b) = (g.adjacency(), reference.adjacency());
+        prop_assert_eq!(a.indptr(), b.indptr(), "n={} d={} k={} threads={}", n, d, k, threads);
+        prop_assert_eq!(a.column_indices(), b.column_indices());
+        let bits = |m: &mvag_sparse::CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(a), bits(b), "weights differ: n={} d={} k={}", n, d, k);
+        // Every pair of nonzero rows is scored exactly once.
+        let m = (0..n).filter(|&r| x.row(r).iter().any(|&v| v != 0.0)).count() as u64;
+        prop_assert_eq!(stats.pairs_scored, m * m.saturating_sub(1) / 2);
+    }
 }
 
 proptest! {

@@ -115,6 +115,19 @@ fn train_trace_exports_valid_chrome_json_with_nested_phases() {
     assert_nested(events, "train.aggregate", "train.integrate");
     assert_nested(events, "train.kmeans", "train.spectral");
 
+    // Attribute-view spans carry the KNN work: each unordered pair of
+    // nonzero rows is scored once, and the toy's Gaussian rows are all
+    // nonzero, so exactly n(n−1)/2 pairs.
+    let knn = events
+        .iter()
+        .find(|e| {
+            e.get("name").and_then(Value::as_str) == Some("train.view_laplacian")
+                && e.get("args").unwrap().get("knn_k").is_some()
+        })
+        .expect("an attribute-view span");
+    let pairs = knn.get("args").unwrap().get("pairs_scored").unwrap();
+    assert_eq!(pairs.as_f64(), Some((60.0 * 59.0) / 2.0));
+
     // Eigensolve spans carry the solver's convergence counters.
     let eig = events
         .iter()

@@ -1,7 +1,7 @@
 //! A persistent worker pool for the data-parallel hot paths.
 //!
 //! Every SGLA run performs thousands of short data-parallel regions
-//! (Lanczos matvecs, reorthogonalization sweeps, KNN row scans, blocked
+//! (Lanczos matvecs, reorthogonalization sweeps, KNN tiles, blocked
 //! top-k scoring). Spawning OS threads per region via
 //! `std::thread::scope` costs tens of microseconds *per spawn* — often
 //! more than the region's arithmetic. This module keeps a fixed set of

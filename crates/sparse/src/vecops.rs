@@ -6,6 +6,12 @@
 
 /// Dot product `xᵀy`.
 ///
+/// **Summation order is a contract:** one accumulator, started at `-0.0`
+/// (the identity `Iterator::sum` uses for floats) and added to left to
+/// right. The symmetric KNN micro-kernel in `mvag_graph::knn` keeps one
+/// accumulator per pair in exactly this order, so its similarities equal
+/// this function's bit for bit; reassociating this sum would break that.
+///
 /// # Panics
 /// Debug-asserts that the slices have equal length; in release builds the
 /// shorter length wins (standard `zip` semantics), which is never intended —
@@ -13,7 +19,7 @@
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
+    x.iter().zip(y).fold(-0.0, |acc, (a, b)| acc + a * b)
 }
 
 /// Euclidean norm `‖x‖₂`, computed with a scaling guard against overflow.
