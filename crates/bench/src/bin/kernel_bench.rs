@@ -1,7 +1,8 @@
 //! Kernel benchmark: pooled/fused/blocked SpMV vs their pre-pool
-//! baselines and the tiled KNN kernel, with a built-in
-//! bit-identity/tolerance gate. Writes `BENCH_kernels.json`; exits
-//! nonzero if any fused/pooled/tiled kernel diverges from its reference.
+//! baselines, the tiled KNN kernel and the Lanczos eigensolve, with a
+//! built-in bit-identity/tolerance gate. Writes `BENCH_kernels.json`; exits
+//! nonzero if any fused/pooled/tiled kernel diverges from its reference
+//! or the eigensolve misses the dense eigenvalues.
 //!
 //! ```bash
 //! cargo run --release --bin kernel_bench            # full sweep
@@ -87,8 +88,9 @@ fn main() -> ExitCode {
         }
     };
     for t in &report.timings {
+        let matvecs = t.matvecs.map_or(String::new(), |m| format!(" matvecs={m}"));
         println!(
-            "  {:<24} n={:<8} nnz={:<9} reps={:<4} p50={:>10.1}us mean={:>10.1}us",
+            "  {:<24} n={:<8} nnz={:<9} reps={:<4} p50={:>10.1}us mean={:>10.1}us{matvecs}",
             t.kernel, t.n, t.nnz, t.reps, t.p50_us, t.mean_us
         );
     }

@@ -15,17 +15,21 @@
 //!   updates the whole block) vs `b` independent matvecs (the pre-block
 //!   subspace-iteration inner loop);
 //! * **knn** — KNN graph construction (the symmetric tiled kernel,
-//!   which scores each pair once).
+//!   which scores each pair once);
+//! * **lanczos** — the `k = 5` smallest eigenvalues of the fused 3-view
+//!   operator (the SGLA+ inner eigensolve), with its matvec count.
 //!
 //! Every timed pair is also *verified*: pooled vs sequential and block
 //! vs column-wise must agree bit-for-bit, fused vs lazy within a 1e-10
 //! relative tolerance, and the tiled KNN graph must equal the row-scan
 //! reference (`knn_graph_row_scan`) bit-for-bit at 1 and `threads`
-//! workers. Any divergence fails the run (nonzero exit) —
+//! workers, and at the smallest Lanczos size the eigenvalues must match
+//! dense Jacobi within 1e-7. Any divergence fails the run (nonzero exit) —
 //! this is the CI gate that keeps the fused kernels honest.
 
 use mvag_data::json::Value;
 use mvag_graph::knn::{knn_graph, knn_graph_row_scan, KnnConfig};
+use mvag_sparse::eigen::{jacobi_eig, smallest_eigenvalues_full, EigOptions};
 use mvag_sparse::parallel::scoped;
 use mvag_sparse::{CooMatrix, CsrMatrix, DenseMatrix, FusedSumOp, LinOp, ScaledSumOp};
 use std::time::Instant;
@@ -47,6 +51,9 @@ pub struct KernelBenchConfig {
     pub knn_sizes: Vec<usize>,
     /// Attribute dimensionality for the KNN benchmark.
     pub knn_dim: usize,
+    /// Lanczos sizes (node counts); the smallest is also solved densely
+    /// as the reference.
+    pub lanczos_sizes: Vec<usize>,
     /// RNG seed.
     pub seed: u64,
     /// Smoke mode: tiny sizes, few reps — correctness gate only.
@@ -63,6 +70,7 @@ impl Default for KernelBenchConfig {
             threads: mvag_sparse::parallel::default_threads(),
             knn_sizes: vec![500, 1_500],
             knn_dim: 32,
+            lanczos_sizes: vec![400, 2_000],
             seed: 2025,
             smoke: false,
         }
@@ -75,6 +83,7 @@ impl KernelBenchConfig {
         KernelBenchConfig {
             sizes: vec![400, 2_000],
             knn_sizes: vec![200],
+            lanczos_sizes: vec![400],
             smoke: true,
             ..Default::default()
         }
@@ -105,6 +114,9 @@ pub struct KernelTiming {
     pub p50_us: f64,
     /// Mean per-application latency, microseconds.
     pub mean_us: f64,
+    /// Operator applications per run, for kernels that apply an
+    /// operator repeatedly (the eigensolve).
+    pub matvecs: Option<usize>,
 }
 
 /// Full benchmark outcome.
@@ -200,6 +212,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(reps, || {
             scoped::matvec_parallel(a, &x, &mut y_scoped, threads)
@@ -211,6 +224,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(reps, || a.matvec_parallel(&x, &mut y_pooled, threads));
         timings.push(KernelTiming {
@@ -220,6 +234,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         a.matvec(&x, &mut y_seq);
         if y_pooled != y_seq {
@@ -269,6 +284,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let mut y_lazy = vec![0.0f64; n];
         let mut y_fused = vec![0.0f64; n];
@@ -280,6 +296,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(reps, || fused.matvec(&x, &mut y_fused));
         timings.push(KernelTiming {
@@ -289,6 +306,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         timings.push(KernelTiming {
             kernel: "multiview_fuse_weight_refresh".into(),
@@ -297,6 +315,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: 1,
             p50_us: fuse_refresh_us,
             mean_us: fuse_refresh_us,
+            matvecs: None,
         });
         timings.push(KernelTiming {
             kernel: "multiview_fuse_pattern_build".into(),
@@ -305,6 +324,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: 1,
             p50_us: fuse_build_us,
             mean_us: fuse_build_us,
+            matvecs: None,
         });
         let rel = max_rel_diff(&y_lazy, &y_fused);
         if rel > 1e-10 {
@@ -348,6 +368,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: block_reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(block_reps, || a.matvec_block(&xb, &mut yb, threads));
         timings.push(KernelTiming {
@@ -357,6 +378,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: block_reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         if yb.data() != y_cols.data() {
             divergences.push(format!(
@@ -391,6 +413,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let reference = knn_graph_row_scan(&x, knn_cfg.k).expect("valid knn input");
         for threads in [1, config.threads] {
@@ -399,6 +422,54 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             if g != reference {
                 divergences.push(format!(
                     "n={n}: tiled knn graph ({threads} threads) not bit-identical to the row-scan reference"
+                ));
+            }
+        }
+    }
+
+    // --- lanczos: k smallest eigenvalues of the fused 3-view operator ---
+    for (li, &n) in config.lanczos_sizes.iter().enumerate() {
+        let seed = config.seed.wrapping_add(li as u64 * 977);
+        let views: Vec<CsrMatrix> = (0..config.views)
+            .map(|v| random_csr(n, config.per_row, seed.wrapping_add(v as u64 * 131)))
+            .collect();
+        let weights = vec![1.0 / config.views as f64; config.views];
+        let op = FusedSumOp::with_threads(views.iter().collect(), weights, threads)
+            .expect("valid views");
+        let opts = EigOptions {
+            threads,
+            ..EigOptions::default()
+        };
+        let k = 5;
+        let solve = || smallest_eigenvalues_full(&op, k, &opts).expect("eigensolve");
+        let res = solve();
+        let reps = if config.smoke { 2 } else { 5 };
+        let (p50, mean) = time_reps(reps, || {
+            std::hint::black_box(solve());
+        });
+        timings.push(KernelTiming {
+            kernel: "lanczos".into(),
+            n,
+            nnz: op.fused_matrix().nnz(),
+            reps,
+            p50_us: p50,
+            mean_us: mean,
+            matvecs: Some(res.matvecs),
+        });
+        if !res.converged {
+            divergences.push(format!("n={n}: lanczos did not converge"));
+        }
+        if li == 0 {
+            let dense = jacobi_eig(&op.fused_matrix().to_dense()).expect("dense eigensolve");
+            let worst = res
+                .values
+                .iter()
+                .zip(&dense.values)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            if worst > 1e-7 {
+                divergences.push(format!(
+                    "n={n}: lanczos eigenvalues differ from dense Jacobi by {worst:.3e}"
                 ));
             }
         }
@@ -425,14 +496,18 @@ impl KernelBenchReport {
             .timings
             .iter()
             .map(|t| {
-                Value::object(vec![
+                let mut fields = vec![
                     ("kernel", Value::String(t.kernel.clone())),
                     ("n", Value::Number(t.n as f64)),
                     ("nnz", Value::Number(t.nnz as f64)),
                     ("reps", Value::Number(t.reps as f64)),
                     ("p50_us", Value::Number(t.p50_us)),
                     ("mean_us", Value::Number(t.mean_us)),
-                ])
+                ];
+                if let Some(mv) = t.matvecs {
+                    fields.push(("matvecs", Value::Number(mv as f64)));
+                }
+                Value::object(fields)
             })
             .collect();
         let speedups = config
@@ -509,6 +584,7 @@ mod tests {
         let mut config = KernelBenchConfig::smoke();
         config.sizes = vec![300];
         config.knn_sizes = vec![80];
+        config.lanczos_sizes = vec![150];
         config.threads = 2;
         let report = run(&config);
         assert!(
@@ -520,6 +596,7 @@ mod tests {
         assert!(report.p50("multiview_spmv_fused", 300).is_some());
         assert!(report.p50("block_spmv_fused", 300).is_some());
         assert!(report.p50("knn_tiled", 80).is_some());
+        assert!(report.p50("lanczos", 150).is_some());
         let json = report.to_json(&config).to_string_pretty();
         assert!(json.contains("verified"));
         assert!(json.contains("speedups"));

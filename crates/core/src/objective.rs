@@ -148,6 +148,7 @@ impl<'a> SglaObjective<'a> {
             span.counter("rounds", eig_res.stats.rounds as u64);
             span.counter("restarts", eig_res.stats.restarts as u64);
             span.counter("reortho_sweeps", eig_res.stats.reortho_sweeps as u64);
+            span.counter("converged", u64::from(eig_res.converged));
         }
         drop(span);
         let eigenvalues = eig_res.values;
@@ -240,6 +241,37 @@ mod tests {
         assert!(
             best_mixed < corner1 && best_mixed < corner2,
             "mixed {best_mixed} vs corners {corner1}, {corner2}"
+        );
+    }
+
+    #[test]
+    fn eigensolve_span_reports_non_convergence() {
+        // tol 0 cannot be met and max_dim 8 caps the Krylov growth far
+        // below n = 120, so the solve force-locks its pairs; the span
+        // must record converged = 0 rather than swallow the outcome.
+        let views = ViewLaplacians::build(&toy_mvag(120, 3, 5), &KnnParams::default()).unwrap();
+        let eig = EigOptions {
+            tol: 0.0,
+            max_dim: 8,
+            dense_fallback: 0,
+            ..EigOptions::default()
+        };
+        let obj = SglaObjective::new(&views, 3, 0.5, ObjectiveMode::Full, eig).unwrap();
+        let uniform = vec![1.0 / views.r() as f64; views.r()];
+        let was_enabled = mvag_obs::enabled();
+        mvag_obs::set_enabled(true);
+        let trace = mvag_obs::next_request_id();
+        let value = mvag_obs::with_trace(trace, || obj.evaluate(&uniform));
+        mvag_obs::set_enabled(was_enabled);
+        assert!(value.unwrap().h.is_finite());
+        let span = mvag_obs::snapshot()
+            .into_iter()
+            .find(|r| r.trace == trace && r.name == "train.eigensolve")
+            .expect("eigensolve span recorded");
+        assert!(
+            span.counters.contains(&("converged", 0)),
+            "{:?}",
+            span.counters
         );
     }
 

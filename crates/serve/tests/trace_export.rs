@@ -138,6 +138,16 @@ fn train_trace_exports_valid_chrome_json_with_nested_phases() {
     assert!(args.get("rounds").is_some());
     assert!(args.get("restarts").is_some());
     assert!(args.get("reortho_sweeps").is_some());
+    // ... and whether the solve met its tolerance, on both solver spans
+    // (1 here: the toy's solves all converge).
+    for name in ["train.eigensolve", "train.spectral"] {
+        let span = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some(name))
+            .unwrap();
+        let converged = span.get("args").unwrap().get("converged");
+        assert_eq!(converged.and_then(Value::as_f64), Some(1.0), "{name}");
+    }
 }
 
 #[test]

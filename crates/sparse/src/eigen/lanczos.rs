@@ -25,6 +25,15 @@
 //!    Lanczos pass deflated against everything found so far; if the
 //!    complement contains an eigenvalue smaller than our k-th value, a copy
 //!    was missed — lock it and re-verify.
+//!
+//! Each pass is a resumable factorization (`Krylov`). When a pass
+//! locks no pair, the deflation set is unchanged, so the pass is
+//! *extended* to twice its dimension (up to `max_dim`) instead of being
+//! rerun from a new start vector: the extended space is exactly the one
+//! a single longer pass from the same start would build, and none of the
+//! operator applications or reorthogonalization sweeps already spent are
+//! repeated. A pass that locks at least one pair is discarded, because
+//! the next one must be deflated against the newly locked vectors.
 
 use super::tridiag::SymTridiag;
 use crate::linop::{LinOp, ShiftedNegOp};
@@ -101,8 +110,10 @@ pub struct EigResult {
 /// solver's hot loops themselves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EigStats {
-    /// Deflated Lanczos passes run (locking rounds plus
-    /// multiplicity-verification probes).
+    /// Convergence rounds: Ritz-pair checks of a deflated Lanczos pass,
+    /// over the locking passes and the multiplicity-verification probes.
+    /// Extending a stalled pass to a larger dimension counts as one more
+    /// round (the extension is checked again); it is not a new pass.
     pub rounds: usize,
     /// Breakdown restarts: invariant subspaces hit mid-pass, each
     /// answered with a fresh orthogonal start direction.
@@ -331,8 +342,10 @@ impl LockSink for ProbeInto<'_> {
 }
 
 /// Runs deflated Lanczos passes until `target` pairs are locked into
-/// `sink`. Grows the Krylov dimension on stalls; force-locks with
-/// `converged = false` once `max_dim` is reached.
+/// `sink`. A pass that locks nothing is *extended* to twice its
+/// dimension (capped at `max_dim`) rather than rerun from a new start;
+/// once `max_dim` is reached, pairs are force-locked with
+/// `converged = false`.
 #[allow(clippy::too_many_arguments)]
 fn lock_pairs<S: LockSink>(
     b_op: &ShiftedNegOp<'_, dyn LinOp + '_>,
@@ -350,6 +363,8 @@ fn lock_pairs<S: LockSink>(
     let n = b_op.dim();
     let mut m = n.min((2 * (target + 1) + 30).max(36));
     let mut rounds = 0usize;
+    // The pass being grown; `None` after a lock changed the deflation set.
+    let mut pass: Option<Krylov> = None;
     while sink.locked_count() < target {
         rounds += 1;
         stats.rounds += 1;
@@ -366,7 +381,9 @@ fn lock_pairs<S: LockSink>(
         }
         let need = target - sink.locked_count();
         let m_pass = m.min(n - deflate.len());
-        let (basis, alphas, betas, exhausted) = lanczos_factorization(
+        let kry =
+            pass.get_or_insert_with(|| Krylov::start(n, &deflate, rng, init, stats, opts.threads));
+        kry.extend(
             b_op,
             m_pass,
             &deflate,
@@ -375,15 +392,15 @@ fn lock_pairs<S: LockSink>(
             matvecs,
             stats,
             opts.threads,
-        )?;
-        let m_eff = alphas.len();
+        );
+        let m_eff = kry.alphas.len();
         if m_eff == 0 {
             return Ok(());
         }
-        let tri = SymTridiag::new(alphas.clone(), betas[..m_eff - 1].to_vec())?;
+        let tri = SymTridiag::new(kry.alphas.clone(), kry.betas[..m_eff - 1].to_vec())?;
         let te = tri.eig()?;
-        let last_beta = betas[m_eff - 1];
-        let at_limit = m_pass >= max_dim.min(n - deflate.len()) || exhausted;
+        let last_beta = kry.betas[m_eff - 1];
+        let at_limit = m_pass >= max_dim.min(n - deflate.len()) || kry.exhausted;
         let mut newly = 0usize;
         for j in 0..need.min(m_eff) {
             let col = m_eff - 1 - j; // largest μ of B first = smallest λ
@@ -395,7 +412,7 @@ fn lock_pairs<S: LockSink>(
                 if !ok {
                     *all_converged = false;
                 }
-                let vec = assemble_ritz(&basis, &te.vectors, col);
+                let vec = assemble_ritz(&kry.basis, &te.vectors, col);
                 sink.push(shift - mu, vec);
                 newly += 1;
             } else {
@@ -411,81 +428,113 @@ fn lock_pairs<S: LockSink>(
                 // complement is exhausted.
                 return Ok(());
             }
+            // Nothing locked, so the deflation set is unchanged and the
+            // pass stays valid: the next round extends it.
             m = (2 * m).min(max_dim);
+        } else {
+            // The deflation set grew; the next pass starts afresh.
+            pass = None;
         }
     }
     Ok(())
 }
 
-/// Runs an `m`-step Lanczos factorization of `op`, keeping every iterate
-/// orthogonal to `deflate` and to the whole basis (full
-/// reorthogonalization, two passes). Returns
-/// `(basis, alphas, betas, exhausted)`; `betas[j]` couples basis vectors
-/// `j` and `j+1`, a zero entry marking a breakdown restart (block
-/// boundary). `exhausted` means basis + deflation span the full space.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn lanczos_factorization(
-    op: &dyn LinOp,
-    m: usize,
-    deflate: &[&[f64]],
-    rng: &mut StdRng,
-    init: &mut std::collections::VecDeque<Vec<f64>>,
-    matvecs: &mut usize,
-    stats: &mut EigStats,
-    threads: usize,
-) -> Result<(Vec<Vec<f64>>, Vec<f64>, Vec<f64>, bool)> {
-    let n = op.dim();
-    let m = m.min(n - deflate.len());
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-    let mut alphas: Vec<f64> = Vec::with_capacity(m);
-    let mut betas: Vec<f64> = Vec::with_capacity(m);
-    let mut w = vec![0.0f64; n];
-    let mut exhausted = false;
+/// A resumable Lanczos factorization `B Vⱼ = Vⱼ Tⱼ + r eⱼᵀ`, every
+/// basis vector kept orthogonal to the deflation set and to the whole
+/// basis (full reorthogonalization, two passes). Extending it from `m`
+/// to `m'` steps yields bit for bit the factorization a single `m'`-step
+/// run from the same start would have produced.
+struct Krylov {
+    /// Orthonormal basis: one vector per step, plus the start vector
+    /// while no step has run.
+    basis: Vec<Vec<f64>>,
+    /// Diagonal of T.
+    alphas: Vec<f64>,
+    /// `betas[j]` couples basis vectors `j` and `j+1`; a zero marks a
+    /// breakdown restart (block boundary). The last entry is the norm of
+    /// the pending `residual`.
+    betas: Vec<f64>,
+    /// Orthogonalized, not yet normalized residual of the last step:
+    /// the next basis direction.
+    residual: Vec<f64>,
+    /// Basis + deflation set span the whole space (or no direction
+    /// orthogonal to them could be found).
+    exhausted: bool,
+}
 
-    let v0 = match fresh_direction(n, deflate, &basis, rng, init, stats, threads) {
-        Some(v) => v,
-        None => return Ok((basis, alphas, betas, true)),
-    };
-    basis.push(v0);
+impl Krylov {
+    /// Picks the start vector: a warm-start column or a random direction,
+    /// orthogonal to the deflation set.
+    fn start(
+        n: usize,
+        deflate: &[&[f64]],
+        rng: &mut StdRng,
+        init: &mut std::collections::VecDeque<Vec<f64>>,
+        stats: &mut EigStats,
+        threads: usize,
+    ) -> Self {
+        let v0 = fresh_direction(n, deflate, &[], rng, init, stats, threads);
+        Krylov {
+            exhausted: v0.is_none(),
+            basis: v0.into_iter().collect(),
+            alphas: Vec::new(),
+            betas: Vec::new(),
+            residual: vec![0.0; n],
+        }
+    }
 
-    for j in 0..m {
-        op.matvec(&basis[j], &mut w);
-        *matvecs += 1;
-        let alpha = vecops::dot(&basis[j], &w);
-        alphas.push(alpha);
-        vecops::axpy(-alpha, &basis[j], &mut w);
-        if j > 0 && betas[j - 1] != 0.0 {
-            vecops::axpy(-betas[j - 1], &basis[j - 1], &mut w);
-        }
-        orthogonalize(&mut w, deflate, &basis, threads);
-        stats.reortho_sweeps += 1;
-        let beta = vecops::norm2(&w);
-        if j + 1 == m {
-            betas.push(beta);
-            break;
-        }
-        if beta > 1e-12 {
-            betas.push(beta);
-            let inv = 1.0 / beta;
-            basis.push(w.iter().map(|x| x * inv).collect());
-        } else {
-            // Invariant subspace: restart with a fresh orthogonal direction.
-            betas.push(0.0);
-            stats.restarts += 1;
-            match fresh_direction(n, deflate, &basis, rng, init, stats, threads) {
-                Some(fresh) => basis.push(fresh),
-                None => {
-                    exhausted = true;
-                    break;
+    /// Runs Lanczos steps until the factorization has `m` steps (capped
+    /// at the dimension of the deflated complement) or is exhausted.
+    #[allow(clippy::too_many_arguments)]
+    fn extend(
+        &mut self,
+        op: &dyn LinOp,
+        m: usize,
+        deflate: &[&[f64]],
+        rng: &mut StdRng,
+        init: &mut std::collections::VecDeque<Vec<f64>>,
+        matvecs: &mut usize,
+        stats: &mut EigStats,
+        threads: usize,
+    ) {
+        let n = op.dim();
+        let m = m.min(n - deflate.len());
+        let w = &mut self.residual;
+        while self.alphas.len() < m && !self.exhausted {
+            let j = self.alphas.len();
+            if j > 0 {
+                // Turn the previous step's residual into basis vector j.
+                let beta = self.betas[j - 1];
+                if beta > 1e-12 {
+                    let inv = 1.0 / beta;
+                    self.basis.push(w.iter().map(|x| x * inv).collect());
+                } else {
+                    // Invariant subspace: restart with a fresh orthogonal
+                    // direction.
+                    self.betas[j - 1] = 0.0;
+                    stats.restarts += 1;
+                    match fresh_direction(n, deflate, &self.basis, rng, init, stats, threads) {
+                        Some(fresh) => self.basis.push(fresh),
+                        None => {
+                            self.exhausted = true;
+                            break;
+                        }
+                    }
                 }
             }
+            op.matvec(&self.basis[j], w);
+            *matvecs += 1;
+            let alpha = vecops::dot(&self.basis[j], w);
+            self.alphas.push(alpha);
+            vecops::axpy(-alpha, &self.basis[j], w);
+            if j > 0 && self.betas[j - 1] != 0.0 {
+                vecops::axpy(-self.betas[j - 1], &self.basis[j - 1], w);
+            }
+            orthogonalize(w, deflate, &self.basis, threads);
+            stats.reortho_sweeps += 1;
+            self.betas.push(vecops::norm2(w));
         }
     }
-    betas.truncate(alphas.len());
-    while betas.len() < alphas.len() {
-        betas.push(0.0);
-    }
-    Ok((basis, alphas, betas, exhausted))
 }
 
 /// Two-pass orthogonalization of `w` against the deflation set and the
@@ -849,6 +898,90 @@ mod tests {
             ..EigOptions::default()
         };
         assert!(smallest_eigenpairs(&l, 5, &bad).is_err());
+    }
+
+    /// Runs `start` + `extend` to each dimension in `steps` in turn and
+    /// returns the factorization, the counters and the next RNG draw.
+    fn grow(op: &dyn LinOp, deflate: &[&[f64]], steps: &[usize]) -> (Krylov, usize, EigStats, u64) {
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut init = std::collections::VecDeque::new();
+        let (mut matvecs, mut stats) = (0usize, EigStats::default());
+        let mut kry = Krylov::start(op.dim(), deflate, &mut rng, &mut init, &mut stats, 1);
+        for &m in steps {
+            kry.extend(
+                op,
+                m,
+                deflate,
+                &mut rng,
+                &mut init,
+                &mut matvecs,
+                &mut stats,
+                1,
+            );
+        }
+        (kry, matvecs, stats, rng.gen::<u64>())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn extended_factorization_equals_one_longer_pass() {
+        // The cycle has no breakdown; the identity breaks down at every
+        // step, so its extension starts with a pending restart. The
+        // two-cycle graph deflated against one vector covers deflation.
+        let cycle = cycle_norm_laplacian(200);
+        let ident = CsrMatrix::identity(150);
+        let mut coo = CooMatrix::new(120, 120);
+        for off in [0, 60] {
+            for i in 0..60 {
+                coo.push(off + i, off + i, 1.0).unwrap();
+                coo.push(off + i, off + (i + 1) % 60, -0.5).unwrap();
+                coo.push(off + i, off + (i + 59) % 60, -0.5).unwrap();
+            }
+        }
+        let two = coo.to_csr();
+        let flat = vec![1.0 / (120f64).sqrt(); 120];
+        let cases: [(&dyn LinOp, Vec<&[f64]>); 3] = [
+            (&cycle, vec![]),
+            (&ident, vec![]),
+            (&two, vec![flat.as_slice()]),
+        ];
+        for (op, deflate) in cases {
+            for m in [1, 7, 36] {
+                let (a, mv_a, st_a, rng_a) = grow(op, &deflate, &[m, 2 * m]);
+                let (b, mv_b, st_b, rng_b) = grow(op, &deflate, &[2 * m]);
+                assert_eq!(a.alphas.len(), 2 * m);
+                assert_eq!(bits(&a.alphas), bits(&b.alphas), "alphas, m = {m}");
+                assert_eq!(bits(&a.betas), bits(&b.betas), "betas, m = {m}");
+                assert_eq!(bits(&a.residual), bits(&b.residual), "residual, m = {m}");
+                assert_eq!(a.basis.len(), b.basis.len());
+                for (x, y) in a.basis.iter().zip(&b.basis) {
+                    assert_eq!(bits(x), bits(y), "basis, m = {m}");
+                }
+                assert_eq!((mv_a, st_a, rng_a), (mv_b, st_b, rng_b));
+            }
+        }
+    }
+
+    #[test]
+    fn forced_non_convergence_is_reported() {
+        // tol 0 cannot be met, and max_dim 8 stops the Krylov growth long
+        // before the space is exhausted: pairs are force-locked.
+        let l = cycle_norm_laplacian(400);
+        let opts = EigOptions {
+            tol: 0.0,
+            max_dim: 8,
+            ..EigOptions::default()
+        };
+        let res = smallest_eigenvalues_full(&l, 3, &opts).unwrap();
+        assert!(!res.converged);
+        assert!(
+            smallest_eigenvalues_full(&l, 3, &EigOptions::default())
+                .unwrap()
+                .converged
+        );
     }
 
     #[test]

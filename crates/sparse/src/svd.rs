@@ -6,7 +6,7 @@
 //! matters because log-transformed similarity matrices have heavy tails.
 
 use crate::eigen::jacobi::jacobi_eig;
-use crate::parallel::{default_threads, par_chunks_mut};
+use crate::parallel::{default_threads, par_chunks_mut, par_map};
 use crate::qr::qr_thin;
 use crate::{DenseMatrix, Result, SparseError};
 use rand::rngs::StdRng;
@@ -139,7 +139,10 @@ pub fn matmul_par(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<De
 }
 
 /// `Aᵀ · B` where both have `n` rows (result `a.ncols × b.ncols`),
-/// parallelized over row blocks with per-thread accumulators.
+/// computed as one partial product per contiguous row chunk on the
+/// worker pool. The chunks depend only on `threads` and the partials are
+/// summed in chunk order, so the result is deterministic for a given
+/// thread count.
 fn matmul_tn_par(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     if a.nrows() != b.nrows() {
         return Err(SparseError::ShapeMismatch(format!(
@@ -148,41 +151,26 @@ fn matmul_tn_par(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<Den
             b.nrows()
         )));
     }
-    // Small output (l × l or m × l with small l): per-thread partials.
+    // Small output (l × l or m × l with small l): per-chunk partials.
     let (ka, kb) = (a.ncols(), b.ncols());
-    let threads = threads.clamp(1, a.nrows().max(1));
     let rows = a.nrows();
-    let chunk = rows.div_ceil(threads);
-    let partials: Vec<DenseMatrix> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(rows);
-            if lo >= hi {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let mut acc = DenseMatrix::zeros(ka, kb);
-                for r in lo..hi {
-                    let arow = a.row(r);
-                    let brow = b.row(r);
-                    for (i, &ai) in arow.iter().enumerate() {
-                        if ai == 0.0 {
-                            continue;
-                        }
-                        let acc_row = acc.row_mut(i);
-                        for (j, &bj) in brow.iter().enumerate() {
-                            acc_row[j] += ai * bj;
-                        }
-                    }
+    let chunk = rows.div_ceil(threads.clamp(1, rows.max(1))).max(1);
+    let partials: Vec<DenseMatrix> = par_map(rows.div_ceil(chunk), threads, |t| {
+        let mut acc = DenseMatrix::zeros(ka, kb);
+        for r in t * chunk..((t + 1) * chunk).min(rows) {
+            let arow = a.row(r);
+            let brow = b.row(r);
+            for (i, &ai) in arow.iter().enumerate() {
+                if ai == 0.0 {
+                    continue;
                 }
-                acc
-            }));
+                let acc_row = acc.row_mut(i);
+                for (j, &bj) in brow.iter().enumerate() {
+                    acc_row[j] += ai * bj;
+                }
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no panic"))
-            .collect()
+        acc
     });
     let mut out = DenseMatrix::zeros(ka, kb);
     for p in partials {
@@ -310,6 +298,32 @@ mod tests {
                 assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn matmul_tn_par_matches_transpose_product() {
+        // Includes a zero row in `a` (skipped entries) and more threads
+        // than some chunkings divide evenly.
+        let mut a = low_rank_matrix(37, 9, 4, 3);
+        for v in a.row_mut(5) {
+            *v = 0.0;
+        }
+        let b = low_rank_matrix(37, 6, 4, 4);
+        let reference = a.transpose().matmul(&b).unwrap();
+        for threads in 1..=4 {
+            let c = matmul_tn_par(&a, &b, threads).unwrap();
+            assert_eq!((c.nrows(), c.ncols()), (9, 6));
+            for (x, y) in c.data().iter().zip(reference.data()) {
+                assert!((x - y).abs() < 1e-12, "threads {threads}: {x} vs {y}");
+            }
+            let again = matmul_tn_par(&a, &b, threads).unwrap();
+            assert_eq!(
+                c.data(),
+                again.data(),
+                "threads {threads} not deterministic"
+            );
+        }
+        assert!(matmul_tn_par(&a, &DenseMatrix::zeros(36, 6), 2).is_err());
     }
 
     #[test]

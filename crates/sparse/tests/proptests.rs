@@ -1,6 +1,6 @@
 //! Property-based tests for the linear algebra substrate.
 
-use mvag_sparse::eigen::{jacobi_eig, smallest_eigenvalues, EigOptions};
+use mvag_sparse::eigen::{jacobi_eig, smallest_eigenvalues, smallest_eigenvalues_full, EigOptions};
 use mvag_sparse::pool::WorkerPool;
 use mvag_sparse::qr::qr_thin;
 use mvag_sparse::{vecops, CooMatrix, CsrMatrix, DenseMatrix, FusedSumOp, LinOp};
@@ -19,6 +19,92 @@ fn coo_strategy(max_n: usize, max_nnz: usize) -> impl Strategy<Value = CooMatrix
             },
         )
     })
+}
+
+/// Normalized Laplacian `I − D^{-1/2} W D^{-1/2}` of disjoint graphs on
+/// `b` nodes each, one per edge list (endpoints taken mod `b`, self
+/// loops dropped). Every edge list must include the chain `i — i+1`,
+/// so that no degree is zero.
+fn disjoint_laplacian(b: usize, blocks: &[Vec<(usize, usize, f64)>]) -> CsrMatrix {
+    let n = b * blocks.len();
+    let mut coo = CooMatrix::new(n, n);
+    for (c, edges) in blocks.iter().enumerate() {
+        let edges: Vec<(usize, usize, f64)> = edges
+            .iter()
+            .map(|&(i, j, w)| (i % b, j % b, w))
+            .filter(|&(i, j, _)| i != j)
+            .collect();
+        let mut deg = vec![0.0f64; b];
+        for &(i, j, w) in &edges {
+            deg[i] += w;
+            deg[j] += w;
+        }
+        let off = c * b;
+        for i in 0..b {
+            coo.push(off + i, off + i, 1.0).unwrap();
+        }
+        for &(i, j, w) in &edges {
+            coo.push_sym(off + i, off + j, -w / (deg[i] * deg[j]).sqrt())
+                .unwrap();
+        }
+    }
+    coo.to_csr()
+}
+
+/// Strategy: an operator for the Krylov (non-dense) Lanczos path, with
+/// `n` in 20..=80, plus `k` and a `max_dim` (0 = automatic). Families:
+///
+/// 0. one random graph (simple spectrum);
+/// 1. 2..=4 identical disjoint blocks: every eigenvalue repeated;
+/// 2. 2..=4 different, densely wired disjoint blocks: λ = 0 repeated
+///    while the rest of the low spectrum converges fast, so a pass can
+///    lock all `k` pairs with a copy of 0 missing, which only the
+///    multiplicity-verification sweep then finds;
+/// 3. a bare weighted path, whose tightly clustered low spectrum stalls
+///    the first 36-step pass, so the pass is extended.
+fn krylov_case_strategy() -> impl Strategy<Value = (CsrMatrix, usize, usize)> {
+    (
+        20usize..=80,
+        0usize..4,
+        2usize..=4,
+        collection::vec(0.5f64..1.5, 80),
+        collection::vec((0usize..80, 0usize..80, 0.1f64..1.0), 0..240),
+    )
+        .prop_flat_map(|(n, family, copies, chain, extra)| {
+            let chain_of = |b: usize, rot: usize| -> Vec<(usize, usize, f64)> {
+                (0..b - 1)
+                    .map(|i| (i, i + 1, chain[(i + rot) % 80]))
+                    .collect()
+            };
+            let a = match family {
+                0 => disjoint_laplacian(n, &[[chain_of(n, 0), extra].concat()]),
+                1 => {
+                    let b = n / copies;
+                    let block = [chain_of(b, 0), extra].concat();
+                    disjoint_laplacian(b, &vec![block; copies])
+                }
+                2 => {
+                    let b = n / copies;
+                    let blocks: Vec<_> = (0..copies)
+                        .map(|c| {
+                            let own = extra.iter().skip(c).step_by(copies).copied();
+                            chain_of(b, 17 * c).into_iter().chain(own).collect()
+                        })
+                        .collect();
+                    disjoint_laplacian(b, &blocks)
+                }
+                _ => disjoint_laplacian(n, &[chain_of(n, 0)]),
+            };
+            let dim = a.nrows();
+            (Just(a), 1usize..=4, 0usize..=dim)
+        })
+        .prop_map(|(a, k, cap)| {
+            // Half the cases keep the automatic cap (the whole space for
+            // n ≤ 420); the rest cap the Krylov growth below n.
+            let dim = a.nrows();
+            let max_dim = if cap % 2 == 0 { 0 } else { (dim / 2).max(cap) };
+            (a, k, max_dim)
+        })
 }
 
 /// Strategy: a random symmetric sparse matrix.
@@ -123,6 +209,30 @@ proptest! {
         let jv = jacobi_eig(&csr.to_dense()).unwrap();
         for (j, (a, b)) in lv.iter().zip(jv.values.iter()).enumerate().take(k) {
             prop_assert!((a - b).abs() < 1e-7, "λ{} = {} vs {}", j, a, b);
+        }
+    }
+
+    #[test]
+    fn lanczos_krylov_path_matches_jacobi((a, k, max_dim) in krylov_case_strategy()) {
+        // dense_fallback 0 forces the Krylov path (pass extension,
+        // breakdown restarts, deflation, the verification sweep).
+        let opts = EigOptions { dense_fallback: 0, max_dim, ..EigOptions::default() };
+        let res = smallest_eigenvalues_full(&a, k, &opts).unwrap();
+        let n = a.nrows();
+        // Without a cap below n the space can always be exhausted, so the
+        // solve must converge; a capped solve may legitimately report
+        // non-convergence, and then promises no accuracy.
+        if max_dim == 0 || max_dim >= n {
+            prop_assert!(res.converged, "n = {}, k = {}: not converged", n, k);
+        }
+        if res.converged {
+            let jv = jacobi_eig(&a.to_dense()).unwrap();
+            for (j, (x, y)) in res.values.iter().zip(&jv.values).enumerate() {
+                prop_assert!(
+                    (x - y).abs() < 1e-7,
+                    "n = {}, k = {}, max_dim = {}: λ{} = {} vs {}", n, k, max_dim, j, x, y
+                );
+            }
         }
     }
 
